@@ -39,7 +39,7 @@ import threading
 import time
 from decimal import Decimal
 from enum import IntEnum
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import repro.errors as _errors
 from repro.core.request import RequestResult
@@ -207,8 +207,8 @@ class FrameSocket:
     ``last_heartbeat_at`` and the optional ``on_heartbeat`` hook) and keeps
     waiting for a real frame, so a heartbeating peer counts as alive for
     idle-timeout purposes without ever surfacing in request/response flows.
-    Sends are serialized by a lock so a heartbeater thread can share the
-    socket with a request/response thread.
+    Sends, and the counters they update, are serialized by a lock so a
+    heartbeater thread can share the socket with a request/response thread.
     """
 
     def __init__(self, sock: socket.socket):
@@ -226,11 +226,20 @@ class FrameSocket:
         self._send_lock = threading.Lock()
 
     def send(self, message_type: int, body: Optional[Mapping] = None) -> None:
-        data = encode_frame(message_type, body)
+        self.send_frames(((message_type, body),))
+
+    def send_frames(self, frames: Iterable[Tuple[int, Optional[Mapping]]]) -> None:
+        """Send ``(type, body)`` frames back to back in one ``sendall``.
+
+        A reply written as one buffer leaves the socket as one write, so the
+        peer never waits on a delayed ACK between the frames of one reply.
+        """
+        encoded = [encode_frame(message_type, body) for message_type, body in frames]
+        data = b"".join(encoded)
         with self._send_lock:
             self.sock.sendall(data)
-        self.bytes_out += len(data)
-        self.frames_out += 1
+            self.bytes_out += len(data)
+            self.frames_out += len(encoded)
 
     def send_heartbeat(self, body: Optional[Mapping] = None) -> None:
         """Send a one-way liveness beacon (no reply is expected)."""

@@ -318,6 +318,9 @@ class ControllerServer:
                 continue
             except OSError:
                 return  # listener closed under us: shutting down
+            # a reply is a burst of small frames: without TCP_NODELAY,
+            # Nagle's algorithm holds its tail until the client's delayed ACK
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
                 self._accepted += 1
                 if self._draining or len(self._sessions) >= self.max_connections:
@@ -446,8 +449,7 @@ class ControllerServer:
                 session.errors += 1
                 session.frames.send(MessageType.ERROR, encode_error(exc))
                 continue
-            for reply_type, reply_body in replies:
-                session.frames.send(reply_type, reply_body)
+            session.frames.send_frames(replies)
             session.last_activity = time.monotonic()
 
     def _handshake(self, session: _Session) -> None:

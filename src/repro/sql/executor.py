@@ -10,16 +10,16 @@ the TPC-W / RUBiS footprint, not query-optimizer sophistication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import CatalogError, SQLError
+from repro.errors import CatalogError, SQLError, SQLTypeError
 from repro.sql import ast
 from repro.sql.expressions import ExpressionEvaluator, RowContext
 from repro.sql.functions import is_aggregate, make_aggregate
 from repro.sql.schema import Column, Index, TableSchema
 from repro.sql.storage import Table
 from repro.sql.transactions import Transaction
-from repro.sql.types import sort_key, type_from_name
+from repro.sql.types import SQLType, compare_values, sort_key, type_from_name
 
 
 @dataclass
@@ -289,23 +289,20 @@ class Executor:
     def _execute_select(
         self, statement: ast.Select, transaction: Transaction, parameters: List[Any]
     ) -> ResultSet:
-        return self._run_select(statement, parameters, transaction, outer_context=None)
+        return self._run_select(statement, parameters, outer_context=None)
 
     def _run_subquery(self, select: ast.Select, outer_context: RowContext) -> List[List[Any]]:
-        result = self._run_select(
-            select, outer_context.parameters, transaction=None, outer_context=outer_context
-        )
+        result = self._run_select(select, outer_context.parameters, outer_context=outer_context)
         return result.rows
 
     def _run_select(
         self,
         statement: ast.Select,
         parameters: Sequence[Any],
-        transaction: Optional[Transaction],
         outer_context: Optional[RowContext],
     ) -> ResultSet:
         # 1. FROM / JOIN: build the stream of joined row contexts.
-        joined_rows = self._build_from_rows(statement, parameters, transaction, outer_context)
+        joined_rows = self._build_from_rows(statement, parameters, outer_context)
 
         # 2. WHERE
         if statement.where is not None:
@@ -362,17 +359,19 @@ class Executor:
         self,
         statement: ast.Select,
         parameters: Sequence[Any],
-        transaction: Optional[Transaction],
         outer_context: Optional[RowContext],
     ) -> List[Dict[str, Dict[str, Any]]]:
         if statement.from_table is None:
             return [{}]
-        base = self._scan_table(statement.from_table, transaction)
+        # Only a single-table SELECT lets WHERE narrow its base rows: with
+        # joins, an unqualified column may belong to any joined table.
+        where = None if statement.joins else statement.where
+        base = self._read_rows(statement.from_table, where, parameters)
         joined: List[Dict[str, Dict[str, Any]]] = [
             {statement.from_table.exposed_name: row} for row in base
         ]
         for join in statement.joins:
-            right_rows = self._scan_table(join.table, transaction)
+            right_rows = self._read_rows(join.table, None, parameters)
             exposed = join.table.exposed_name
             new_joined: List[Dict[str, Dict[str, Any]]] = []
             for left_tables in joined:
@@ -397,8 +396,11 @@ class Executor:
             joined = new_joined
         return joined
 
-    def _scan_table(
-        self, table_ref: ast.TableRef, transaction: Optional[Transaction]
+    def _read_rows(
+        self,
+        table_ref: ast.TableRef,
+        where: Optional[ast.Expression],
+        parameters: Sequence[Any],
     ) -> List[Dict[str, Any]]:
         # Reads take a snapshot of the rows instead of holding table read
         # locks until commit: this gives read-committed semantics per
@@ -406,7 +408,8 @@ class Executor:
         # backends (C-JDBC never relies on backend read locks across
         # statements — write ordering is enforced by the scheduler).
         table = self._engine.catalog.get_table(table_ref.name)
-        return [dict(row) for _row_id, row in table.rows()]
+        candidates = self._candidates(table, table_ref.exposed_name, where, parameters)
+        return [dict(row) for _row_id, row in candidates]
 
     def _matching_rows(
         self,
@@ -415,10 +418,8 @@ class Executor:
         where: Optional[ast.Expression],
         parameters: Sequence[Any],
     ) -> List[Tuple[int, Dict[str, Any]]]:
-        """Rows of ``table`` matching ``where``; uses a point index when easy."""
-        candidates = self._index_candidates(table, where, parameters)
-        if candidates is None:
-            candidates = list(table.rows())
+        """Rows of ``table`` matching ``where``, for UPDATE and DELETE."""
+        candidates = self._candidates(table, exposed_name, where, parameters)
         if where is None:
             return list(candidates)
         matches = []
@@ -428,28 +429,29 @@ class Executor:
                 matches.append((row_id, row))
         return matches
 
-    def _index_candidates(
+    def _candidates(
         self,
         table: Table,
+        exposed_name: str,
         where: Optional[ast.Expression],
         parameters: Sequence[Any],
-    ) -> Optional[List[Tuple[int, Dict[str, Any]]]]:
-        """Use a single-column unique/hash index for ``col = literal`` filters."""
-        if where is None:
-            return None
-        equalities = _extract_equalities(where, parameters)
-        if not equalities:
-            return None
-        for column_name, value in equalities.items():
-            index = table.find_by_index([column_name], (value,))
-            if index is not None:
-                row_ids = index.lookup((value,))
-                return [
-                    (row_id, table.get_row(row_id))
-                    for row_id in row_ids
-                    if table.get_row(row_id) is not None
-                ]
-        return None
+    ) -> Iterable[Tuple[int, Dict[str, Any]]]:
+        """The access path of every statement kind: which rows may match ``where``.
+
+        When a top-level ``column = constant`` conjunct hits a single-column
+        index, only that index bucket can match; otherwise every row is a
+        candidate.  Callers still evaluate ``where`` in full on the
+        candidates: the index narrows the set, it never decides a row.
+        """
+        for column, value in _point_equalities(where, exposed_name, table.schema, parameters):
+            index = table.find_by_index([column.name], (value,))
+            key = _MISSING if index is None else _index_key(column, value)
+            if key is not _MISSING:
+                # sorted() snapshots the bucket before it is read, so a
+                # concurrent insert or delete cannot change it mid-iteration
+                rows = [(row_id, table.get_row(row_id)) for row_id in sorted(index.lookup((key,)))]
+                return [(row_id, row) for row_id, row in rows if row is not None]
+        return table.rows()
 
     # -- projection ------------------------------------------------------------
 
@@ -743,32 +745,66 @@ def _contains_aggregate(expression: Optional[ast.Expression]) -> bool:
     return False
 
 
-def _extract_equalities(
-    where: ast.Expression, parameters: Sequence[Any]
-) -> Dict[str, Any]:
-    """Collect top-level ``column = constant`` conjuncts for index lookups."""
-    equalities: Dict[str, Any] = {}
+def _point_equalities(
+    where: Optional[ast.Expression],
+    exposed_name: str,
+    schema: TableSchema,
+    parameters: Sequence[Any],
+) -> Iterator[Tuple[Column, Any]]:
+    """Top-level ``column = constant`` conjuncts of ``where`` on this table.
 
-    def visit(node: ast.Expression) -> None:
-        if isinstance(node, ast.BinaryOp):
-            if node.operator == "AND":
-                visit(node.left)
-                visit(node.right)
-                return
-            if node.operator == "=":
-                column, value = None, _MISSING
-                if isinstance(node.left, ast.ColumnRef):
-                    column = node.left.name
-                    value = _constant_value(node.right, parameters)
-                elif isinstance(node.right, ast.ColumnRef):
-                    column = node.right.name
-                    value = _constant_value(node.left, parameters)
-                if column is not None and value is not _MISSING:
-                    equalities[column] = value
+    A conjunct counts only when its column resolves to this table: it is
+    unqualified or qualified by ``exposed_name``, and ``schema`` has it.  Any
+    other reference (an outer query's column in a correlated subquery, a
+    mismatched alias) names another row and cannot narrow this table's.
+    """
+    if not isinstance(where, ast.BinaryOp):
+        return
+    if where.operator == "AND":
+        yield from _point_equalities(where.left, exposed_name, schema, parameters)
+        yield from _point_equalities(where.right, exposed_name, schema, parameters)
+    elif where.operator == "=":
+        for reference, other in ((where.left, where.right), (where.right, where.left)):
+            if (
+                isinstance(reference, ast.ColumnRef)
+                and (reference.table is None or reference.table.lower() == exposed_name.lower())
+                and schema.has_column(reference.name)
+            ):
+                value = _constant_value(other, parameters)
+                if value is not _MISSING:
+                    yield schema.column(reference.name), value
 
-    visit(where)
-    return equalities
 
+def _index_key(column: Column, value: Any) -> Any:
+    """The index key whose bucket holds every row where ``column = value``.
+
+    Stored values are coerced to the column's type, while ``=`` compares
+    through :func:`compare_values`, which coerces too (an INT ``k = '3'``
+    matches 3), so the probe goes through the column's type the same way.
+    Where no single key holds every match, ``_MISSING`` is returned:
+
+    * coercion fails or is lossy (3.5 or ``'true'`` against an INT or
+      BOOLEAN column), or the probe is NULL, which equals nothing;
+    * a non-string against a character column, where ``=`` converts the
+      stored strings instead (``'3'``, ``'03'`` and ``'3.0'`` all equal 3);
+    * a floating-point column, or a NaN probe: ``compare_values`` finds NaN
+      equal to every number, so a stored NaN matches every probe.
+    """
+    sql_type = column.sql_type
+    if sql_type in _FLOATING_TYPES or (sql_type.is_character and not isinstance(value, str)):
+        return _MISSING
+    try:
+        if value != value:
+            return _MISSING
+        key = column.coerce(value)
+    except (SQLTypeError, ArithmeticError):
+        return _MISSING
+    if compare_values(key, value) != 0:
+        return _MISSING
+    return key
+
+
+_FLOATING_TYPES = frozenset({SQLType.FLOAT, SQLType.DOUBLE, SQLType.DECIMAL})
 
 _MISSING = object()
 

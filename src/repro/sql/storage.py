@@ -130,7 +130,7 @@ class Table:
 
     def add_column(self, column: Column) -> None:
         self.schema.add_column(column)
-        default = column.default
+        default = column.coerce(column.default)
         for row in self._rows.values():
             row[column.name] = default
 
@@ -178,23 +178,34 @@ class Table:
         return row_id, row
 
     def update_row(self, row_id: RowId, changes: Row) -> Tuple[Row, Row]:
-        """Apply ``changes`` to one row; returns ``(old_row, new_row)``."""
+        """Apply ``changes`` to one row; returns ``(old_row, new_row)``.
+
+        Only indexes whose key changes are touched, and each indexes the new
+        key before it drops the old one: a concurrent index probe finds the
+        row under its old key until the new row is stored, and under its new
+        key from then on.
+        """
         old_row = self._rows[row_id]
         new_row = dict(old_row)
         new_row.update(changes)
         self._check_not_null(new_row)
-        for index in self.indexes.values():
-            index.remove(row_id, old_row)
+        moved = [
+            index
+            for index in self.indexes.values()
+            if index.key_for(old_row) != index.key_for(new_row)
+        ]
+        inserted_into: List[HashIndex] = []
         try:
-            for index in self.indexes.values():
+            for index in moved:
                 index.insert(row_id, new_row)
+                inserted_into.append(index)
         except ConstraintViolation:
-            # restore previous index state before propagating
-            for index in self.indexes.values():
+            for index in inserted_into:
                 index.remove(row_id, new_row)
-                index.insert(row_id, old_row)
             raise
         self._rows[row_id] = new_row
+        for index in moved:
+            index.remove(row_id, old_row)
         return dict(old_row), new_row
 
     def delete_row(self, row_id: RowId) -> Row:

@@ -4,6 +4,7 @@ import datetime
 import socket
 import string
 import threading
+import time
 from decimal import Decimal
 
 import pytest
@@ -158,6 +159,54 @@ class TestFrameSocket:
         finally:
             left.close()
             right.close()
+
+    def test_send_frames_writes_one_buffer_in_order(self):
+        left, right = self._pair()
+        try:
+            frames = list(result_frames(RequestResult(columns=["v"], rows=[[1]])))
+            left.send_frames(frames)
+            received = [right.recv() for _frame in frames]
+            assert [message_type for message_type, _body in received] == [
+                MessageType.RESULT_HEADER,
+                MessageType.RESULT_ROWS,
+                MessageType.RESULT_END,
+            ]
+            assert left.frames_out == right.frames_in == 3
+            assert left.bytes_out == right.bytes_in > 0
+        finally:
+            left.close()
+            right.close()
+
+    def test_concurrent_senders_lose_no_counter_updates(self):
+        """A heartbeater and a request thread share one socket's counters."""
+
+        class SlowCount(int):
+            # yields the GIL inside ``+=``, between reading and storing
+            def __add__(self, other):
+                time.sleep(0.02)
+                return SlowCount(int(self) + other)
+
+        left, right = self._pair()
+        left.bytes_out = left.frames_out = SlowCount(0)
+        start = threading.Barrier(2)
+
+        def send():
+            start.wait()
+            left.send(MessageType.PING, {})
+
+        threads = [threading.Thread(target=send) for _ in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            received = [right.recv() for _thread in threads]
+        finally:
+            left.close()
+            right.close()
+        assert [message_type for message_type, _body in received] == [MessageType.PING] * 2
+        assert left.frames_out == 2
+        assert left.bytes_out == right.bytes_in
 
     def test_peer_close_raises_connection_closed(self):
         left, right = self._pair()

@@ -13,7 +13,7 @@ from repro.errors import (
     UnknownVirtualDatabaseError,
 )
 from repro.net import ControllerServer, RemoteController
-from repro.net.protocol import PROTOCOL_VERSION, FrameSocket, MessageType
+from repro.net.protocol import PROTOCOL_VERSION, FrameSocket, MessageType, decode_frame_payload
 from tests.conftest import make_cluster
 
 
@@ -228,3 +228,61 @@ class TestStatistics:
         assert wait_until(lambda: server.statistics()["connections_active"] == 0)
         # totals survive the session's departure
         assert server.statistics()["requests"] == 2
+
+
+class _RecordingSocket:
+    """Forwards to a real socket and keeps every buffer passed to ``sendall``."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def split_frames(data):
+    """Message types of the back-to-back frames in one buffer."""
+    types = []
+    while data:
+        length = int.from_bytes(data[:4], "big")
+        message_type, _body = decode_frame_payload(data[4 : 4 + length])
+        types.append(message_type)
+        data = data[4 + length :]
+    return types
+
+
+class TestReplyWrites:
+    def server_socket(self, server):
+        assert wait_until(lambda: len(server._sessions) == 1)
+        (session,) = server._sessions.values()
+        return session.frames
+
+    def test_session_sockets_disable_nagle(self, served_cluster):
+        server, _controller, _vdb, _engines = served_cluster
+        session = remote_session(server)
+        frames = self.server_socket(server)
+        assert frames.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        session.close()
+
+    def test_result_reply_is_one_sendall(self, served_cluster):
+        server, _controller, _vdb, _engines = served_cluster
+        session = remote_session(server)
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        session.execute("INSERT INTO t (id, v) VALUES (1, 10)")
+        handle = session.prepare("SELECT v FROM t WHERE id = ?")
+        frames = self.server_socket(server)
+        recorder = frames.sock = _RecordingSocket(frames.sock)
+        result = handle.execute((1,))
+        assert result.rows == [[10]]
+        (write,) = recorder.writes
+        assert split_frames(write) == [
+            MessageType.RESULT_HEADER,
+            MessageType.RESULT_ROWS,
+            MessageType.RESULT_END,
+        ]
+        session.close()

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import string
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -9,8 +10,10 @@ from repro.core.cache import ResultCache, TableGranularity
 from repro.core.request import RequestResult, SelectRequest, WriteRequest
 from repro.core.requestparser import RequestFactory
 from repro.core.scheduler import OptimisticTransactionLevelScheduler
+from repro.errors import DatabaseError
 from repro.sql import DatabaseEngine
 from repro.sql.lexer import tokenize
+from repro.sql.storage import Table
 from repro.sql.types import compare_values, sort_key
 from repro.simulation import Simulator
 
@@ -129,6 +132,92 @@ class TestEngineProperties:
             expected = 1000 + sum(deltas)
         session.close()
         assert engine.execute("SELECT balance FROM account WHERE id = 1").scalar() == expected
+
+
+# Index access path vs forced scan --------------------------------------------------
+
+#: probe values of every kind ``=`` coerces between: int, float (NaN too),
+#: numeric and non-numeric strings, booleans, NULL
+probe_values = st.sampled_from(
+    [None, True, False, 0, 1, 2, 3, 7, 3.0, 2.5, -1.0, float("nan"), float("inf")]
+    + ["3", "03", "3.0", " 2", "", "x", "1", "true"]
+)
+stored_rows = st.tuples(
+    st.one_of(st.none(), st.integers(min_value=-2, max_value=4)),
+    st.one_of(st.none(), st.sampled_from(["1", "01", "3", "3.0", "x", ""])),
+    st.one_of(st.none(), st.booleans()),
+    st.one_of(st.none(), st.sampled_from([3.0, 2.5, float("nan")])),
+)
+
+
+@st.composite
+def predicates(draw, depth=0):
+    """A random WHERE clause over ``t`` as ``(sql, parameters)``."""
+    if depth < 2 and draw(st.booleans()):
+        left_sql, left_params = draw(predicates(depth=depth + 1))
+        right_sql, right_params = draw(predicates(depth=depth + 1))
+        operator = draw(st.sampled_from(["AND", "AND", "OR"]))
+        return f"({left_sql} {operator} {right_sql})", left_params + right_params
+    column = draw(st.sampled_from(["k", "t.k", "v", "s", "t.s", "b", "f"]))
+    kind = draw(st.sampled_from(["=", "=", "=", "= literal", "= literal", ">", "IS NULL"]))
+    if kind == "IS NULL":
+        return f"{column} IS NULL", []
+    if kind == "= literal":
+        literal = draw(st.sampled_from(["3", "'3'", "3.0", "'03'", "7", "'true'"]))
+        return f"{column} = {literal}", []
+    return f"{column} {kind} ?", [draw(probe_values)]
+
+
+statements = st.one_of(
+    st.tuples(st.just("SELECT k, v, s, b, f FROM t AS t WHERE"), st.just([]), predicates()),
+    st.tuples(
+        st.just("UPDATE t SET v = ? - v WHERE"),
+        st.integers(min_value=-5, max_value=5).map(lambda value: [value]),
+        predicates(),
+    ),
+    st.tuples(st.just("DELETE FROM t WHERE"), st.just([]), predicates()),
+)
+
+
+def _outcome(engine, sql, parameters):
+    try:
+        result = engine.execute(sql, parameters)
+    except DatabaseError as exc:
+        return ("error", type(exc).__name__)
+    return (repr(result.rows), result.update_count)
+
+
+def _digest(engine):
+    table = engine.catalog.get_table("t")
+    return repr(sorted(tuple(row.values()) for _row_id, row in table.rows()))
+
+
+class TestIndexAccessPathProperties:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        rows=st.lists(stored_rows, max_size=12),
+        script=st.lists(statements, min_size=1, max_size=6),
+    )
+    def test_index_path_matches_forced_scan(self, rows, script):
+        """The chooser's index bucket never changes what a statement does."""
+        engines = []
+        for name in ("indexed", "scanned"):
+            engine = DatabaseEngine(name)
+            engine.execute(
+                "CREATE TABLE t (k INT PRIMARY KEY, v INT, s VARCHAR(8), b BOOLEAN, f FLOAT)"
+            )
+            for column in ("v", "s", "b", "f"):
+                engine.execute(f"CREATE INDEX t_{column} ON t ({column})")
+            for k, row in enumerate(rows):
+                engine.execute("INSERT INTO t VALUES (?, ?, ?, ?, ?)", (k, *row))
+            engines.append(engine)
+        indexed, scanned = engines
+        for prefix, head, (where, where_params) in script:
+            sql, parameters = f"{prefix} {where}", head + where_params
+            with mock.patch.object(Table, "find_by_index", return_value=None):
+                expected = _outcome(scanned, sql, parameters)
+            assert _outcome(indexed, sql, parameters) == expected, sql
+            assert _digest(indexed) == _digest(scanned), sql
 
 
 class TestCacheProperties:

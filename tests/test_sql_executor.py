@@ -1,9 +1,13 @@
 """Unit tests for statement execution (SELECT, DML, DDL)."""
 
+from unittest import mock
+
 import pytest
 
-from repro.errors import CatalogError, ConstraintViolation, DatabaseError
+from repro.errors import CatalogError, ConstraintViolation, DatabaseError, SQLError
 from repro.sql import DatabaseEngine
+from repro.sql.expressions import ExpressionEvaluator
+from repro.sql.storage import HashIndex, Table
 
 
 @pytest.fixture
@@ -229,3 +233,197 @@ class TestDDL:
         store.execute("ALTER TABLE vendor ADD COLUMN v_country VARCHAR(20)")
         result = store.execute("SELECT v_country FROM vendor WHERE v_id = 1")
         assert result.rows[0][0] is None
+
+
+@pytest.fixture
+def kv():
+    """1,000 rows under a primary key and a non-unique secondary index."""
+    engine = DatabaseEngine("access-path")
+    engine.execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+    engine.execute("CREATE INDEX kv_v ON kv (v)")
+    engine.execute(
+        "INSERT INTO kv VALUES " + ", ".join(f"({k}, {k % 10})" for k in range(1000))
+    )
+    engine.execute("CREATE TABLE tag (k INT PRIMARY KEY)")
+    engine.execute("INSERT INTO tag VALUES (1), (2), (3)")
+    return engine
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    """Counts full table scans and rows a WHERE (or ON) predicate examined."""
+    counts = {"scans": 0, "examined": 0}
+    rows, evaluate_predicate = Table.rows, ExpressionEvaluator.evaluate_predicate
+
+    def counting_rows(table):
+        counts["scans"] += 1
+        return rows(table)
+
+    def counting_predicate(evaluator, expression, context):
+        counts["examined"] += 1
+        return evaluate_predicate(evaluator, expression, context)
+
+    monkeypatch.setattr(Table, "rows", counting_rows)
+    monkeypatch.setattr(ExpressionEvaluator, "evaluate_predicate", counting_predicate)
+    return counts
+
+
+class TestAccessPath:
+    """Counts, not timings: a return to full scans fails here."""
+
+    @pytest.mark.parametrize(
+        "sql", ["SELECT v FROM kv WHERE k = ?", "SELECT v FROM kv AS t WHERE t.k = ?"]
+    )
+    def test_point_select_reads_one_row(self, kv, probe, sql):
+        assert kv.execute(sql, (437,)).rows == [[7]]
+        assert probe["scans"] == 0
+        assert probe["examined"] <= 1
+
+    def test_point_update_and_delete_read_one_row(self, kv, probe):
+        assert kv.execute("UPDATE kv SET v = ? - v WHERE k = ?", (100, 437)).update_count == 1
+        assert kv.execute("DELETE FROM kv WHERE k = ?", (438,)).update_count == 1
+        assert probe["scans"] == 0
+        assert probe["examined"] <= 2
+        assert kv.execute("SELECT v FROM kv WHERE k = 437").rows == [[93]]
+
+    def test_secondary_index_narrows_to_its_bucket(self, kv, probe):
+        rows = kv.execute("SELECT k FROM kv WHERE v = ? AND k < 50", (7,)).rows
+        assert rows == [[7], [17], [27], [37], [47]]
+        assert probe["scans"] == 0
+        assert probe["examined"] == 100
+
+    def test_unindexed_predicate_scans(self, kv, probe):
+        assert kv.execute("SELECT k FROM kv WHERE k > ?", (997,)).rows == [[998], [999]]
+        assert probe["scans"] == 1
+        assert probe["examined"] == 1000
+
+    def test_join_scans(self, kv, probe):
+        sql = "SELECT kv.v FROM tag JOIN kv ON tag.k = kv.k WHERE tag.k = 2"
+        assert kv.execute(sql).rows == [[2]]
+        assert probe["scans"] == 2
+
+    def test_wrong_qualifier_scans(self, kv, probe):
+        # ``kv`` is hidden behind the alias ``t``, so ``kv.k`` resolves to no
+        # row: the index must not answer for it (a miss would hide the error)
+        with pytest.raises(SQLError, match="unknown table or alias"):
+            kv.execute("SELECT v FROM kv AS t WHERE kv.k = ?", (5000,))
+        assert probe["scans"] == 1
+
+    def test_correlated_exists_does_not_probe_inner_index(self, kv, probe):
+        # inside the subquery ``t.k`` is the outer row, not tag's key column
+        sql = "SELECT t.k FROM kv AS t WHERE t.v = 7 AND EXISTS (SELECT 1 FROM tag WHERE t.k = 17)"
+        assert kv.execute(sql).rows == [[17]]
+        assert probe["scans"] == 100
+
+    def test_correlated_in_does_not_probe_inner_index(self, kv):
+        sql = "SELECT t.k FROM kv AS t WHERE t.k IN (SELECT k + 10 FROM tag WHERE t.k = 12)"
+        assert kv.execute(sql).rows == [[12]]
+
+
+@pytest.fixture
+def small_kv():
+    engine = DatabaseEngine("probe-types")
+    engine.execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+    engine.execute("INSERT INTO kv VALUES (1, 1), (2, 2), (3, 3), (4, 4)")
+    return engine
+
+
+class TestIndexProbeTypes:
+    """An index probe matches exactly the rows the WHERE clause's ``=`` does."""
+
+    @pytest.mark.parametrize(
+        "key, k",
+        [(3, 3), ("3", 3), (3.0, 3), (" 3", 3), ("3.0", 3), (True, 1)],
+        ids=["int", "string", "float", "padded-string", "float-string", "bool"],
+    )
+    def test_every_statement_kind_matches_like_equals(self, small_kv, key, k):
+        assert small_kv.execute("SELECT v FROM kv WHERE k = ?", (key,)).rows == [[k]]
+        update = small_kv.execute("UPDATE kv SET v = ? - v WHERE k = ?", (100, key))
+        assert update.update_count == 1
+        assert small_kv.execute("SELECT v FROM kv WHERE k = ?", (k,)).rows == [[100 - k]]
+        assert small_kv.execute("DELETE FROM kv WHERE k = ?", (key,)).update_count == 1
+        assert small_kv.execute("SELECT COUNT(*) FROM kv").rows == [[3]]
+
+    @pytest.mark.parametrize(
+        "column, key",
+        [
+            ("k", 3.5),
+            ("k", None),
+            ("k", float("nan")),
+            ("k", float("inf")),
+            ("k", "x"),
+            ("b", "true"),
+            ("b", float("nan")),
+            ("f", 2.5),
+        ],
+    )
+    def test_probe_without_exact_key_matches_like_a_scan(self, column, key):
+        engine = DatabaseEngine("probe-fallback")
+        engine.execute("CREATE TABLE t (k INT PRIMARY KEY, b BOOLEAN, f FLOAT)")
+        engine.execute("CREATE INDEX t_b ON t (b)")
+        engine.execute("CREATE INDEX t_f ON t (f)")
+        for row in [(0, False, 2.5), (1, True, float("nan")), (2, None, None), (3, True, 3.0)]:
+            engine.execute("INSERT INTO t VALUES (?, ?, ?)", row)
+        select = f"SELECT k FROM t WHERE {column} = ?"
+        with mock.patch.object(Table, "find_by_index", return_value=None):
+            expected = engine.execute(select, (key,)).rows
+        assert engine.execute(select, (key,)).rows == expected
+        update = engine.execute(f"UPDATE t SET f = 0 WHERE {column} = ?", (key,))
+        assert update.update_count == len(expected)
+
+    def test_number_against_character_key_matches_every_spelling(self):
+        engine = DatabaseEngine("probe-text")
+        engine.execute("CREATE TABLE names (name VARCHAR(10) PRIMARY KEY, n INT)")
+        engine.execute("INSERT INTO names VALUES ('3', 1), ('03', 2), ('4', 3)")
+        assert engine.execute("SELECT n FROM names WHERE name = ?", (3,)).rows == [[1], [2]]
+        assert engine.execute("UPDATE names SET n = 0 WHERE name = ?", (3,)).update_count == 2
+        assert engine.execute("DELETE FROM names WHERE name = ?", (3,)).update_count == 2
+
+    def test_added_column_default_is_stored_coerced(self, small_kv):
+        small_kv.execute("ALTER TABLE kv ADD COLUMN w INT DEFAULT '5'")
+        small_kv.execute("CREATE INDEX kv_w ON kv (w)")
+        assert small_kv.execute("SELECT COUNT(*) FROM kv WHERE w = ?", (5,)).rows == [[4]]
+
+
+class TestPointReadsDuringUpdates:
+    """A point read finds a row that exists before and after an UPDATE."""
+
+    def test_every_index_step_of_an_update_leaves_the_row_findable(self, kv, monkeypatch):
+        # run the reads between the index steps of one UPDATE, the moments a
+        # reader on another connection can see
+        counts = []
+
+        def read():
+            by_key = kv.execute("SELECT COUNT(*) FROM kv WHERE k = ?", (437,)).scalar()
+            by_value = sum(
+                kv.execute("SELECT COUNT(*) FROM kv WHERE v = ? AND k = ?", (v, 437)).scalar()
+                for v in (7, 93)
+            )
+            counts.append((by_key, by_value))
+
+        for step in ("insert", "remove"):
+            original = getattr(HashIndex, step)
+
+            def stepped(index, row_id, row, original=original):
+                read()
+                original(index, row_id, row)
+                read()
+
+            monkeypatch.setattr(HashIndex, step, stepped)
+        assert kv.execute("UPDATE kv SET v = ? - v WHERE k = ?", (100, 437)).update_count == 1
+        monkeypatch.undo()
+        assert counts and set(counts) == {(1, 1)}
+        assert kv.execute("SELECT v FROM kv WHERE k = 437").rows == [[93]]
+
+    def test_failed_key_change_leaves_every_index_as_it_was(self):
+        engine = DatabaseEngine("failed-update")
+        engine.execute("CREATE TABLE u (k INT PRIMARY KEY, code INT UNIQUE)")
+        engine.execute("INSERT INTO u VALUES (1, 10), (2, 20)")
+        # the primary key moves to 3 before the unique code 20 is refused
+        with pytest.raises(ConstraintViolation):
+            engine.execute("UPDATE u SET k = 3, code = 20 WHERE k = 1")
+        assert engine.execute("SELECT code FROM u WHERE k = 1").rows == [[10]]
+        assert engine.execute("SELECT code FROM u WHERE k = 3").rows == []
+        assert [len(index) for index in engine.catalog.get_table("u").indexes.values()] == [2, 2]
+        engine.execute("INSERT INTO u VALUES (3, 30)")
+        assert engine.execute("SELECT k FROM u WHERE code = 30").rows == [[3]]
